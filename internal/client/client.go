@@ -268,7 +268,9 @@ var ErrOverloaded = errors.New("client: dispatcher overloaded")
 // Config.PublishRetries times (default once, immediately — spaced by
 // full-jitter exponential backoff when PublishBackoff is set); when the
 // dispatcher stays gone the caller gets a clean error naming it rather
-// than an indefinite hang. With AckPublish set, Publish round-trips and an
+// than an indefinite hang. A full in-process inbound queue
+// (transport.ErrBackpressure) is waited out for up to backpressureWait
+// without spending a retry. With AckPublish set, Publish round-trips and an
 // overloaded dispatcher's rejection surfaces as ErrOverloaded (never
 // retried here: the caller owns that backoff decision).
 func (c *Client) Publish(attrs []float64, payload []byte) error {
@@ -311,12 +313,16 @@ func (c *Client) Publish(attrs []float64, payload []byte) error {
 	return err
 }
 
+// backpressureWait bounds how long one fire-and-forget publish waits for a
+// full dispatcher inbound queue to drain before the caller sees
+// transport.ErrBackpressure.
+const backpressureWait = 5 * time.Second
+
 // publishOnce performs one publish attempt: fire-and-forget by default, a
 // request/response round-trip in AckPublish mode.
 func (c *Client) publishOnce(body []byte) error {
 	if !c.cfg.AckPublish {
-		return c.cfg.Transport.Send(c.cfg.DispatcherAddr,
-			&wire.Envelope{Kind: wire.KindPublish, Body: body})
+		return c.sendPublish(&wire.Envelope{Kind: wire.KindPublish, Body: body})
 	}
 	resp, err := c.cfg.Transport.Request(c.cfg.DispatcherAddr,
 		&wire.Envelope{Kind: wire.KindPublishReq, Body: body}, c.cfg.RequestTimeout)
@@ -335,6 +341,26 @@ func (c *Client) publishOnce(body []byte) error {
 		}
 	}
 	return fmt.Errorf("client: unexpected response %v", resp.Kind)
+}
+
+// sendPublish sends one fire-and-forget publication. A full inbound queue
+// (transport.ErrBackpressure) is not a failure: nothing was sent and the
+// dispatcher is alive, so the send is retried with a growing pause until the
+// queue drains or backpressureWait has passed.
+func (c *Client) sendPublish(env *wire.Envelope) error {
+	var deadline time.Time
+	for pause := 50 * time.Microsecond; ; pause = min(2*pause, 5*time.Millisecond) {
+		err := c.cfg.Transport.Send(c.cfg.DispatcherAddr, env)
+		if !errors.Is(err, transport.ErrBackpressure) {
+			return err
+		}
+		if deadline.IsZero() {
+			deadline = time.Now().Add(backpressureWait)
+		} else if time.Now().After(deadline) {
+			return err
+		}
+		time.Sleep(pause)
+	}
 }
 
 // Poll fetches up to max queued notifications (indirect mode); max <= 0

@@ -2,6 +2,7 @@ package client
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -277,13 +278,14 @@ func TestPublishCleanErrorWhenDispatcherDies(t *testing.T) {
 	}
 }
 
-// flakySend wraps a transport, failing the first n Sends with
-// ErrUnreachable.
+// flakySend wraps a transport, failing the first n Sends with failWith
+// (ErrUnreachable when nil).
 type flakySend struct {
 	transport.Transport
-	mu    sync.Mutex
-	fails int
-	sends int
+	mu       sync.Mutex
+	fails    int
+	sends    int
+	failWith error
 }
 
 func (f *flakySend) Send(addr string, env *wire.Envelope) error {
@@ -295,9 +297,39 @@ func (f *flakySend) Send(addr string, env *wire.Envelope) error {
 	}
 	f.mu.Unlock()
 	if fail {
+		if f.failWith != nil {
+			return f.failWith
+		}
 		return transport.ErrUnreachable
 	}
 	return f.Transport.Send(addr, env)
+}
+
+// TestPublishWaitsOutBackpressure: a full dispatcher inbound queue is waited
+// out until it drains, without spending the PublishRetries budget.
+func TestPublishWaitsOutBackpressure(t *testing.T) {
+	mesh := transport.NewMesh(0)
+	defer mesh.Close()
+	fake := startFake(t, mesh)
+	fl := &flakySend{Transport: mesh.Endpoint("c"), fails: 5,
+		failWith: fmt.Errorf("%w: disp inbound queue full", transport.ErrBackpressure)}
+	cl, err := New(Config{Transport: fl, DispatcherAddr: "disp", Subscriber: 7, PublishRetries: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.Publish([]float64{5}, []byte("queued")); err != nil {
+		t.Fatalf("publish behind a full queue: %v", err)
+	}
+	waitForCond(t, func() bool {
+		fake.mu.Lock()
+		defer fake.mu.Unlock()
+		return len(fake.pubs) == 1
+	})
+	fl.mu.Lock()
+	defer fl.mu.Unlock()
+	if fl.sends != 6 {
+		t.Fatalf("sends = %d, want 6 (5 refused by backpressure + 1 accepted)", fl.sends)
+	}
 }
 
 // TestPublishRetriesOnceOnUnreachable: one transient unreachable error is

@@ -44,7 +44,8 @@ type Options struct {
 	Strategy placement.Strategy
 	// Policy is the forwarding policy (default forward.Adaptive{}).
 	Policy forward.Policy
-	// IndexKind selects matcher indexes (default bucket).
+	// IndexKind selects matcher indexes (default index.KindScan, the zero
+	// value; set index.KindBucket for the bucket index).
 	IndexKind index.Kind
 	// IndexBuckets overrides the bucket count of the bucket index (default
 	// index.DefaultBuckets; ignored by the other kinds).
@@ -81,7 +82,9 @@ type Options struct {
 	// behavior, with zero filesystem traffic.
 	DataDir string
 	// Fsync is the journal durability policy when DataDir is set (default
-	// store.FsyncAlways: every append reaches the disk before it is acked).
+	// store.FsyncInterval, the zero value: dirty segments are synced on a
+	// background interval; store.FsyncAlways syncs every append before it
+	// is acked).
 	Fsync store.Fsync
 	// FailPolicy is every durable node's response to an unrecoverable
 	// journal fault (default store.FailStop: the store fails, the cluster

@@ -139,7 +139,8 @@ type Config struct {
 	SessionRetention time.Duration
 	// FlushWorkers sizes the readiness-loop worker pool (default 4).
 	FlushWorkers int
-	// IndexKind selects the per-edge subscription index (default bucket).
+	// IndexKind selects the per-edge subscription index (default
+	// index.KindScan, the zero value).
 	IndexKind index.Kind
 	// IndexBuckets overrides the bucket index's bucket count (0 = default).
 	IndexBuckets int

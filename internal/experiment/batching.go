@@ -18,20 +18,25 @@ import (
 // BatchingResult compares cluster throughput with forward-path batching off
 // and on (same topology, workload and subscriptions).
 type BatchingResult struct {
-	Messages    int // publications per run
-	Subscribers int // direct subscribers, each matching every message
-	Matchers    int
-	Dispatchers int
+	Messages    int `json:"messages"`    // publications per run
+	Subscribers int `json:"subscribers"` // direct subscribers, each matching every message
+	Matchers    int `json:"matchers"`
+	Dispatchers int `json:"dispatchers"`
 
-	UnbatchedMsgsPerSec float64
-	BatchedMsgsPerSec   float64
-	Speedup             float64 // batched / unbatched
+	UnbatchedMsgsPerSec float64 `json:"unbatched_msgs_per_sec"`
+	BatchedMsgsPerSec   float64 `json:"batched_msgs_per_sec"`
+	Speedup             float64 `json:"speedup"` // batched / unbatched
 
 	// BatchedFrames and Forwarded are from the batched run; their ratio is
 	// the achieved messages-per-frame amortization on the forward hop.
-	BatchedFrames int64
-	Forwarded     int64
-	Amortization  float64
+	BatchedFrames int64   `json:"batched_frames"`
+	Forwarded     int64   `json:"forwarded"`
+	Amortization  float64 `json:"msgs_per_frame"`
+
+	// Wire is the forward hop's encode cost per message, one frame per
+	// message vs one pooled batch frame. Batching leaves it zero; callers
+	// outside a benchmark fill it with MeasureBatchWire.
+	Wire BatchWireCost `json:"wire"`
 }
 
 // BatchingOpts parameterizes the batching comparison.

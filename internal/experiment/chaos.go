@@ -19,34 +19,34 @@ import (
 
 // ChaosBucket is one timeline sample.
 type ChaosBucket struct {
-	StartMs    int64   // bucket start, ms since workload start
-	Deliveries int64   // deliveries landing in the bucket
-	Rate       float64 // deliveries per second
+	StartMs    int64   `json:"t_ms"`              // bucket start, ms since workload start
+	Deliveries int64   `json:"deliveries"`        // deliveries landing in the bucket
+	Rate       float64 `json:"rate_msgs_per_sec"` // deliveries per second
 }
 
 // ChaosResult is the outcome of one chaos failover run.
 type ChaosResult struct {
-	Seed        int64
-	Matchers    int
-	Dispatchers int
-	Published   int   // publications accepted (all acked)
-	KillAtMs    int64 // kill offset from workload start
-	BucketMs    int64
+	Seed        int64 `json:"seed"`
+	Matchers    int   `json:"matchers"`
+	Dispatchers int   `json:"dispatchers"`
+	Published   int   `json:"published"`  // publications accepted (all acked)
+	KillAtMs    int64 `json:"kill_at_ms"` // kill offset from workload start
+	BucketMs    int64 `json:"bucket_ms"`
 
-	Timeline []ChaosBucket
+	Timeline []ChaosBucket `json:"timeline"`
 
-	PreKillRate float64 // mean delivery rate before the kill
-	DipRate     float64 // lowest bucket rate at/after the kill
-	RecoveryMs  int64   // kill → first bucket back at ≥80% of PreKillRate
-	Retransmits int64   // dispatcher persistence retransmissions
-	Duplicates  int     // duplicate deliveries (at-least-once redundancy)
-	ZeroLoss    bool    // every acked publication delivered
-	LossDetail  string  // auditor violations when ZeroLoss is false
+	PreKillRate float64 `json:"pre_kill_rate_msgs_per_sec"` // mean delivery rate before the kill
+	DipRate     float64 `json:"dip_rate_msgs_per_sec"`      // lowest bucket rate at/after the kill
+	RecoveryMs  int64   `json:"recovery_ms"`                // kill → first bucket back at ≥80% of PreKillRate
+	Retransmits int64   `json:"retransmits"`                // dispatcher persistence retransmissions
+	Duplicates  int     `json:"duplicate_deliveries"`       // duplicate deliveries (at-least-once redundancy)
+	ZeroLoss    bool    `json:"zero_acked_loss"`            // every acked publication delivered
+	LossDetail  string  `json:"loss_detail,omitempty"`      // auditor violations when ZeroLoss is false
 
 	// Diagnostic counters for interpreting a non-zero-loss run.
-	DroppedNoCandidate int64 // publications the dispatchers found no candidate for
-	MatcherDrops       int64 // forwards shed by matcher stage backpressure
-	InflightAtEnd      int   // unacked messages still retained at shutdown
+	DroppedNoCandidate int64 `json:"dropped_no_candidate"` // publications the dispatchers found no candidate for
+	MatcherDrops       int64 `json:"matcher_drops"`        // forwards shed by matcher stage backpressure
+	InflightAtEnd      int   `json:"inflight_at_end"`      // unacked messages still retained at shutdown
 }
 
 // ChaosOpts parameterizes the run.

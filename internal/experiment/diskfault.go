@@ -31,37 +31,37 @@ import (
 
 // DiskFaultFailStop is the FailStop phase outcome.
 type DiskFaultFailStop struct {
-	Published     int64
-	Expected      int  // auditor-expected deliveries across both subscribers
-	ZeroAckedLoss bool // every acked publication delivered everywhere
-	LossDetail    string
-	Duplicates    int64   // redeliveries absorbed by the auditor
-	EdgeDelivered int64   // deliveries that crossed the edge tier
-	CrashMs       float64 // fsync fault injected → victim left the live set
-	DiskFaults    int     // disk ops faulted on the victim (trace length)
-	ElasticMoves  int64   // controller scale-ups + replaces observed
+	Published     int64   `json:"published"`
+	Expected      int     `json:"expected_deliveries"` // auditor-expected deliveries across both subscribers
+	ZeroAckedLoss bool    `json:"zero_acked_loss"`     // every acked publication delivered everywhere
+	LossDetail    string  `json:"loss_detail,omitempty"`
+	Duplicates    int64   `json:"duplicates"`        // redeliveries absorbed by the auditor
+	EdgeDelivered int64   `json:"edge_delivered"`    // deliveries that crossed the edge tier
+	CrashMs       float64 `json:"fault_to_crash_ms"` // fsync fault injected → victim left the live set
+	DiskFaults    int     `json:"disk_ops_faulted"`  // disk ops faulted on the victim (trace length)
+	ElasticMoves  int64   `json:"elastic_moves"`     // controller scale-ups + replaces observed
 }
 
 // DiskFaultDegrade is the DegradeToMemory phase outcome.
 type DiskFaultDegrade struct {
-	Published       int64
-	ZeroAckedLoss   bool
-	LossDetail      string
-	Duplicates      int64
-	HealthDegraded  bool  // dispatcher store ended in Degraded
-	Durable         int64 // appends that reached the disk
-	Dropped         int64 // appends accepted non-durably (reported, not silent)
-	AccountingExact bool  // Durable + Dropped >= accepted publications
+	Published       int64  `json:"published"`
+	ZeroAckedLoss   bool   `json:"zero_acked_loss"`
+	LossDetail      string `json:"loss_detail,omitempty"`
+	Duplicates      int64  `json:"duplicates"`
+	HealthDegraded  bool   `json:"store_degraded"`   // dispatcher store ended in Degraded
+	Durable         int64  `json:"durable_appends"`  // appends that reached the disk
+	Dropped         int64  `json:"reported_drops"`   // appends accepted non-durably (reported, not silent)
+	AccountingExact bool   `json:"accounting_exact"` // Durable + Dropped >= accepted publications
 }
 
 // DiskFaultResult is the two-phase certification outcome.
 type DiskFaultResult struct {
-	Seed        int64
-	Matchers    int
-	Dispatchers int
-	Burst       int
-	FailStop    DiskFaultFailStop
-	Degrade     DiskFaultDegrade
+	Seed        int64             `json:"seed"`
+	Matchers    int               `json:"matchers"`
+	Dispatchers int               `json:"dispatchers"`
+	Burst       int               `json:"burst_per_phase"`
+	FailStop    DiskFaultFailStop `json:"fail_stop"`
+	Degrade     DiskFaultDegrade  `json:"degrade"`
 }
 
 // DiskFaultOpts parameterizes the certification run.

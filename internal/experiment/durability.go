@@ -20,26 +20,28 @@ import (
 
 // DurabilityConfig is one measured cluster configuration.
 type DurabilityConfig struct {
-	Name       string  // "none" (no journal), "never", "interval", "always"
-	MsgsPerSec float64 // delivered publications per second
-	MeanMs     float64 // mean dispatcher-ingest→delivery latency
-	P99Ms      float64 // 99th percentile of the same
-	Slowdown   float64 // baseline throughput / this throughput
+	Name       string  `json:"name"`            // "none" (no journal), "never", "interval", "always"
+	MsgsPerSec float64 `json:"msgs_per_sec"`    // delivered publications per second
+	MeanMs     float64 `json:"mean_latency_ms"` // mean dispatcher-ingest→delivery latency
+	P99Ms      float64 `json:"p99_latency_ms"`  // 99th percentile of the same
+	Slowdown   float64 `json:"slowdown"`        // baseline throughput / this throughput
 }
 
 // RecoveryPoint is one point of the recovery-time-vs-journal-size curve.
 type RecoveryPoint struct {
-	Records int     // journal records replayed
-	Bytes   int64   // journal bytes read
-	Seconds float64 // wall time for store.Open to finish recovery
+	Records int     `json:"records"`          // journal records replayed
+	Bytes   int64   `json:"journal_bytes"`    // journal bytes read
+	Seconds float64 `json:"recovery_seconds"` // wall time for store.Open to finish recovery
+	// RecordsPerSec is the replay rate, Records / Seconds.
+	RecordsPerSec float64 `json:"records_per_sec"`
 }
 
 // DurabilityResult is the full report.
 type DurabilityResult struct {
-	Messages    int
-	Subscribers int
-	Configs     []DurabilityConfig
-	Recovery    []RecoveryPoint
+	Messages    int                `json:"messages"`
+	Subscribers int                `json:"subscribers"`
+	Configs     []DurabilityConfig `json:"configs"`
+	Recovery    []RecoveryPoint    `json:"recovery"`
 }
 
 // DurabilityOpts parameterizes the experiment.
@@ -263,7 +265,9 @@ func recoveryPoint(n int) (RecoveryPoint, error) {
 	if replayed != n {
 		return RecoveryPoint{}, fmt.Errorf("recovered %d records, wrote %d", replayed, n)
 	}
-	return RecoveryPoint{Records: replayed, Bytes: stats.Bytes, Seconds: elapsed.Seconds()}, nil
+	secs := elapsed.Seconds()
+	return RecoveryPoint{Records: replayed, Bytes: stats.Bytes, Seconds: secs,
+		RecordsPerSec: float64(replayed) / secs}, nil
 }
 
 // Table renders the fsync-policy comparison.
@@ -286,7 +290,7 @@ func (r *DurabilityResult) RecoveryTable() *Table {
 		Header: []string{"records", "journal bytes", "recovery ms", "records/s"},
 	}
 	for _, p := range r.Recovery {
-		t.AddRow(p.Records, p.Bytes, p.Seconds*1e3, float64(p.Records)/p.Seconds)
+		t.AddRow(p.Records, p.Bytes, p.Seconds*1e3, p.RecordsPerSec)
 	}
 	return t
 }

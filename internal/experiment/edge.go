@@ -75,52 +75,52 @@ func (o EdgeOpts) withDefaults() EdgeOpts {
 
 // EdgePolicyResult is the outcome of one policy phase.
 type EdgePolicyResult struct {
-	Policy       string
-	Sessions     int
-	WideSessions int // full-space heavy sessions driving the policy
-	Publications int
+	Policy       string `json:"policy"`
+	Sessions     int    `json:"sessions"`
+	WideSessions int    `json:"wide_sessions"` // full-space heavy sessions driving the policy
+	Publications int    `json:"publications"`
 
-	ExpectedDeliveries   int64 // matching (publication, session) pairs
-	Delivered            int64 // distinct deliveries applications saw
-	SuppressedDuplicates int64 // replay overlap absorbed client-side (seq dedup)
+	ExpectedDeliveries   int64 `json:"expected_deliveries"`   // matching (publication, session) pairs
+	Delivered            int64 `json:"delivered"`             // distinct deliveries applications saw
+	SuppressedDuplicates int64 `json:"suppressed_duplicates"` // replay overlap absorbed client-side (seq dedup)
 
-	AttachPerSec     float64 // session attach+subscribe rate
-	DeliveriesPerSec float64 // fan-out throughput over the whole phase
-	RunSecs          float64
+	AttachPerSec     float64 `json:"attach_per_sec"`     // session attach+subscribe rate
+	DeliveriesPerSec float64 `json:"deliveries_per_sec"` // fan-out throughput over the whole phase
+	RunSecs          float64 `json:"run_secs"`
 
-	BackpressureWaits int64
-	DroppedOldest     int64
-	SlowDisconnects   int64
-	StormDetaches     int64 // reconnect-storm connection kills
-	Resumes           int64
-	Replayed          int64
-	ResumeLost        int64 // welcome-reported deliveries aged out of rings
+	BackpressureWaits int64 `json:"backpressure_waits"`
+	DroppedOldest     int64 `json:"dropped_oldest"`
+	SlowDisconnects   int64 `json:"slow_disconnects"`
+	StormDetaches     int64 `json:"storm_detaches"` // reconnect-storm connection kills
+	Resumes           int64 `json:"resumes"`
+	Replayed          int64 `json:"replayed"`
+	ResumeLost        int64 `json:"resume_lost"` // welcome-reported deliveries aged out of rings
 
-	ZeroAckedLoss bool   // every checked session saw exactly its expected set
-	LossDetail    string // first few violations when ZeroAckedLoss is false
+	ZeroAckedLoss bool   `json:"zero_acked_loss"`       // every checked session saw exactly its expected set
+	LossDetail    string `json:"loss_detail,omitempty"` // first few violations when ZeroAckedLoss is false
 
-	AuditDuplicates int    // sampled auditor: at-least-once redundancy
-	AuditErr        string // sampled auditor: invariant violations
+	AuditDuplicates int    `json:"audit_duplicates"`    // sampled auditor: at-least-once redundancy
+	AuditErr        string `json:"audit_err,omitempty"` // sampled auditor: invariant violations
 
 	// Drop-oldest staleness: after the drain a slow consumer must hold the
 	// head, with only a bounded stale gap of evicted older deliveries.
-	MaxStalenessGap  int64
-	SlowTailCaughtUp bool
+	MaxStalenessGap  int64 `json:"max_staleness_gap"`
+	SlowTailCaughtUp bool  `json:"slow_tail_caught_up"`
 
 	// Disconnect accounting: delivered + reported-lost == expected on every
 	// heavy session (nothing vanished without being declared).
-	LossAccounted bool
+	LossAccounted bool `json:"loss_accounted"`
 }
 
 // EdgeResult is the full three-policy benchmark outcome.
 type EdgeResult struct {
-	Seed         int64
-	BufferBytes  int
-	ResumeWindow int
+	Seed         int64 `json:"seed"`
+	BufferBytes  int   `json:"buffer_bytes"`
+	ResumeWindow int   `json:"resume_window"`
 
-	Backpressure EdgePolicyResult
-	DropOldest   EdgePolicyResult
-	Disconnect   EdgePolicyResult
+	Backpressure EdgePolicyResult `json:"backpressure"`
+	DropOldest   EdgePolicyResult `json:"drop_oldest"`
+	Disconnect   EdgePolicyResult `json:"disconnect"`
 }
 
 // edgeBenchSess is one simulated subscriber session's book-keeping.

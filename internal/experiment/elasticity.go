@@ -29,52 +29,52 @@ import (
 // ElasticityDecision is one journaled controller decision (virtual-clock
 // segment).
 type ElasticityDecision struct {
-	TSec   float64
-	Action string
-	Target core.NodeID
-	To     core.NodeID
-	Dim    int
-	Reason string
+	TSec   float64     `json:"t_sec"`
+	Action string      `json:"action"`
+	Target core.NodeID `json:"target,omitempty"`
+	To     core.NodeID `json:"to,omitempty"`
+	Dim    int         `json:"dim"`
+	Reason string      `json:"reason"`
 }
 
 // ElasticityPoint is one matcher-count sample.
 type ElasticityPoint struct {
-	TSec     float64
-	Matchers int
+	TSec     float64 `json:"t_sec"`
+	Matchers int     `json:"matchers"`
 }
 
 // ElasticityResult is the combined outcome.
 type ElasticityResult struct {
-	Seed int64
+	Seed int64 `json:"seed"`
 
 	// Simulator segment: σ-skewed ramp on the virtual clock.
-	SimStartMatchers int
-	SimPeakMatchers  int
-	SimFinalMatchers int
-	SimScaleUps      int64
-	SimScaleDowns    int64
-	SimSplits        int64
-	SimThrash        int64
-	SimLost          int64
-	SimDecisions     []ElasticityDecision
-	SimMatcherSeries []ElasticityPoint
+	SimStartMatchers int                  `json:"sim_start_matchers"`
+	SimPeakMatchers  int                  `json:"sim_peak_matchers"`
+	SimFinalMatchers int                  `json:"sim_final_matchers"`
+	SimScaleUps      int64                `json:"sim_scale_ups"`
+	SimScaleDowns    int64                `json:"sim_scale_downs"`
+	SimSplits        int64                `json:"sim_splits"`
+	SimThrash        int64                `json:"sim_thrash"`
+	SimLost          int64                `json:"sim_lost"`
+	SimDecisions     []ElasticityDecision `json:"sim_decisions"`
+	SimMatcherSeries []ElasticityPoint    `json:"sim_matcher_series"`
 	// Per-phase p99 response times (seconds): before the surge, late in the
 	// surge after the controller has scaled, and after the drain back down.
-	BaselineP99Sec   float64
-	ScaledSurgeP99   float64
-	RecoveredP99     float64
-	SurgeP99Factor   float64 // ScaledSurgeP99 / BaselineP99Sec
-	P99WithinTwofold bool
+	BaselineP99Sec   float64 `json:"baseline_p99_sec"`
+	ScaledSurgeP99   float64 `json:"scaled_surge_p99_sec"`
+	RecoveredP99     float64 `json:"recovered_p99_sec"`
+	SurgeP99Factor   float64 `json:"surge_p99_over_baseline"` // ScaledSurgeP99 / BaselineP99Sec
+	P99WithinTwofold bool    `json:"p99_within_2x_of_baseline"`
 
 	// Real-cluster segment: controller-driven drain + split under chaos.
-	ChaosStartMatchers int
-	ChaosFinalMatchers int
-	ChaosScaleDowns    int64
-	ChaosSplits        int64
-	ChaosPublished     int
-	ChaosDuplicates    int
-	ChaosZeroLoss      bool
-	ChaosLossDetail    string
+	ChaosStartMatchers int    `json:"chaos_start_matchers"`
+	ChaosFinalMatchers int    `json:"chaos_final_matchers"`
+	ChaosScaleDowns    int64  `json:"chaos_scale_downs"`
+	ChaosSplits        int64  `json:"chaos_splits"`
+	ChaosPublished     int    `json:"chaos_published"`
+	ChaosDuplicates    int    `json:"chaos_duplicate_deliveries"`
+	ChaosZeroLoss      bool   `json:"chaos_zero_acked_loss"`
+	ChaosLossDetail    string `json:"chaos_loss_detail,omitempty"`
 }
 
 // Phase boundaries of the simulated ramp (virtual seconds).

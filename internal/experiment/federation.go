@@ -61,30 +61,30 @@ func (o FederationOpts) withDefaults() FederationOpts {
 
 // FederationResult is the benchmark outcome.
 type FederationResult struct {
-	Seed int64
+	Seed int64 `json:"seed"`
 
 	// Suppression phase.
-	DisjointPubs     int
-	InBandPubs       int
-	CrossedDisjoint  int64   // FedPublish frames the disjoint workload put on the link
-	CrossedInBand    int64   // in-band frames that crossed (should be all of them)
-	InBandDelivered  int     // in-band publications delivered remotely
-	SuppressionRatio float64 // fraction of the disjoint workload kept off the link
-	RemoteLeaks      int     // disjoint publications that reached a remote subscriber
+	DisjointPubs     int     `json:"disjoint_pubs"`
+	InBandPubs       int     `json:"in_band_pubs"`
+	CrossedDisjoint  int64   `json:"crossed_disjoint"`  // FedPublish frames the disjoint workload put on the link
+	CrossedInBand    int64   `json:"crossed_in_band"`   // in-band frames that crossed (should be all of them)
+	InBandDelivered  int     `json:"in_band_delivered"` // in-band publications delivered remotely
+	SuppressionRatio float64 `json:"suppression_ratio"` // fraction of the disjoint workload kept off the link
+	RemoteLeaks      int     `json:"remote_leaks"`      // disjoint publications that reached a remote subscriber
 
 	// Latency phase (milliseconds).
-	LatencyPubs int
-	IntraP50    float64
-	IntraP99    float64
-	CrossP50    float64
-	CrossP99    float64
+	LatencyPubs int     `json:"latency_pubs"`
+	IntraP50    float64 `json:"intra_p50_ms"`
+	IntraP99    float64 `json:"intra_p99_ms"`
+	CrossP50    float64 `json:"cross_p50_ms"`
+	CrossP99    float64 `json:"cross_p99_ms"`
 
 	// Link-flap phase.
-	FlapPubs      int
-	FlapAcked     int
-	FlapRetries   int64
-	ZeroAckedLoss bool
-	LossDetail    string
+	FlapPubs      int    `json:"flap_pubs"`
+	FlapAcked     int    `json:"flap_acked"`
+	FlapRetries   int64  `json:"flap_retries"`
+	ZeroAckedLoss bool   `json:"zero_acked_loss"`
+	LossDetail    string `json:"loss_detail,omitempty"`
 }
 
 // Table renders the human-readable report.

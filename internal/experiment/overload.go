@@ -22,27 +22,27 @@ import (
 
 // OverloadVariant is one run's outcome (layer off or on).
 type OverloadVariant struct {
-	Name         string
-	Published    int64
-	Delivered    int64   // unique publications delivered
-	DeliveryRate float64 // Delivered / Published
-	BusyNacks    int64   // forwards rejected by full matcher stages
-	Rerouted     int64   // busy-NACKed forwards re-routed to a sibling
-	BreakerTrips int64   // circuit-breaker closed→open transitions
-	MatcherDrops int64   // forwards shed by stage backpressure
-	P50Ms        float64 // median publish→deliver latency
-	P99Ms        float64 // tail publish→deliver latency
-	MaxMs        float64
+	Name         string  `json:"name"`
+	Published    int64   `json:"published"`
+	Delivered    int64   `json:"delivered"`     // unique publications delivered
+	DeliveryRate float64 `json:"delivery_rate"` // Delivered / Published
+	BusyNacks    int64   `json:"busy_nacks"`    // forwards rejected by full matcher stages
+	Rerouted     int64   `json:"rerouted"`      // busy-NACKed forwards re-routed to a sibling
+	BreakerTrips int64   `json:"breaker_trips"` // circuit-breaker closed→open transitions
+	MatcherDrops int64   `json:"stage_drops"`   // forwards shed by stage backpressure
+	P50Ms        float64 `json:"p50_ms"`        // median publish→deliver latency
+	P99Ms        float64 `json:"p99_ms"`        // tail publish→deliver latency
+	MaxMs        float64 `json:"max_ms"`
 }
 
 // OverloadResult is the off/on comparison of one overload run.
 type OverloadResult struct {
-	Seed       int64
-	Matchers   int
-	QueueDepth int
-	ThrottleMs int64
-	Off        OverloadVariant
-	On         OverloadVariant
+	Seed       int64           `json:"seed"`
+	Matchers   int             `json:"matchers"`
+	QueueDepth int             `json:"queue_depth"`
+	ThrottleMs int64           `json:"throttle_ms_per_msg"`
+	Off        OverloadVariant `json:"layer_off"`
+	On         OverloadVariant `json:"layer_on"`
 }
 
 // OverloadOpts parameterizes the run.

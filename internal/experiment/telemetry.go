@@ -26,6 +26,14 @@ type TelemetryOverheadResult struct {
 	Subscribers int             `json:"subscribers"`
 	Trials      int             `json:"trials"`
 	Modes       []TelemetryMode `json:"modes"`
+
+	// Wire is the pooled batch encode cost per message without and with a
+	// fully stamped trace context on every message.
+	Wire TraceWireCost `json:"wire"`
+	// Sampler is the per-publication sampling decision cost. TelemetryOverhead
+	// leaves Wire and Sampler zero; callers outside a benchmark fill them with
+	// MeasureTraceWire and MeasureSampler.
+	Sampler SamplerCost `json:"sampler"`
 }
 
 // TelemetryOverhead measures delivered throughput of the batched forward path

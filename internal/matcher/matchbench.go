@@ -83,17 +83,17 @@ func (o *MatchBenchOpts) defaults() {
 type MatchBenchResult struct {
 	// MatchedPerSec is the subscription-match (delivery) rate; MsgsPerSec the
 	// message rate. MatchedPerSec = MsgsPerSec × MatchesPerMsg.
-	MatchedPerSec float64
-	MsgsPerSec    float64
-	MatchesPerMsg float64
-	ScannedPerMsg float64
+	MatchedPerSec float64 `json:"matched_per_sec"`
+	MsgsPerSec    float64 `json:"msgs_per_sec"`
+	MatchesPerMsg float64 `json:"matches_per_msg"`
+	ScannedPerMsg float64 `json:"scanned_per_msg"`
 	// StoredSubs / IndexedSubs is the covering collapse ratio (1 without
 	// covering).
-	StoredSubs    int
-	IndexedSubs   int
-	CollapseRatio float64
-	Elapsed       time.Duration
-	Processed     int64
+	StoredSubs    int           `json:"stored_subs"`
+	IndexedSubs   int           `json:"indexed_subs"`
+	CollapseRatio float64       `json:"collapse_ratio"`
+	Elapsed       time.Duration `json:"elapsed_ns"`
+	Processed     int64         `json:"processed"`
 }
 
 // RunMatchBench measures steady-state batched match throughput of one

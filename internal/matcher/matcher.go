@@ -40,7 +40,8 @@ type Config struct {
 	Transport transport.Transport
 	// Seeds are gossip bootstrap addresses.
 	Seeds []string
-	// IndexKind selects the per-dimension index (default bucket).
+	// IndexKind selects the per-dimension index (default index.KindScan, the
+	// zero value).
 	IndexKind index.Kind
 	// IndexBuckets overrides the bucket count for the bucket index
 	// (default index.DefaultBuckets; ignored by the other kinds).

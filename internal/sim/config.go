@@ -26,7 +26,8 @@ type Config struct {
 	Strategy placement.Strategy
 	// Policy is the forwarding policy (default forward.Adaptive{}).
 	Policy forward.Policy
-	// IndexKind selects the per-dimension matcher index (default bucket).
+	// IndexKind selects the per-dimension matcher index (default
+	// index.KindScan, the zero value).
 	IndexKind index.Kind
 	// MatchShards models the real matcher's per-core parallel match path
 	// (matcher.Config.MatchShards): each dimension stage's per-scan service

@@ -161,12 +161,13 @@ func (m *Mesh) send(from, to string, env *wire.Envelope) error {
 	if !m.reachable(from, to) {
 		return fmt.Errorf("%w: %s -> %s", ErrUnreachable, from, to)
 	}
-	m.bytesSent.Add(int64(wire.FrameSize(env)))
+	size := wire.FrameSize(env) // before the handoff: the receiver owns env after
 	select {
 	case m.queues[to] <- queued{env: env}:
+		m.bytesSent.Add(int64(size))
 		return nil
 	default:
-		return fmt.Errorf("transport: %s inbound queue full", to)
+		return fmt.Errorf("%w: %s inbound queue full", ErrBackpressure, to)
 	}
 }
 

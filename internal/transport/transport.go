@@ -27,6 +27,12 @@ var ErrClosed = errors.New("transport: closed")
 // ErrUnreachable is returned when the destination cannot be contacted.
 var ErrUnreachable = errors.New("transport: unreachable")
 
+// ErrBackpressure is returned by a one-way Send when the destination's
+// inbound queue is full. Nothing was sent; the destination is alive and the
+// caller may retry once the queue drains. The in-process mesh returns it;
+// TCP blocks on a full write queue instead and never does.
+var ErrBackpressure = errors.New("transport: backpressure")
+
 // Copying is an optional capability: transports whose Send has fully copied
 // env.Body before returning implement it and report true. Hot-path senders
 // use it to recycle pooled encode buffers immediately after Send; on

@@ -480,6 +480,40 @@ func TestMeshErrUnreachableClassification(t *testing.T) {
 	}
 }
 
+// TestMeshFullQueueIsBackpressure: a full inbound queue is a typed,
+// retryable ErrBackpressure (not ErrUnreachable), its bytes are not counted
+// as sent, and the same send succeeds once the handler drains the queue.
+func TestMeshFullQueueIsBackpressure(t *testing.T) {
+	mesh := NewMesh(0)
+	defer mesh.Close()
+	a, b := mesh.Endpoint("a"), mesh.Endpoint("b")
+	// release unparks the handler; deferred after mesh.Close so it runs
+	// first and a failed assertion cannot hang Close on the parked handler.
+	release := make(chan struct{})
+	var releaseOnce sync.Once
+	unpark := func() { releaseOnce.Do(func() { close(release) }) }
+	defer unpark()
+	if _, err := b.Listen("b", func(*wire.Envelope) *wire.Envelope { <-release; return nil }); err != nil {
+		t.Fatal(err)
+	}
+	env := &wire.Envelope{Kind: wire.KindForward, Body: make([]byte, 8)}
+	var err error
+	sent := 0
+	for ; sent < 10000; sent++ {
+		if err = a.Send("b", env); err != nil {
+			break
+		}
+	}
+	if !errors.Is(err, ErrBackpressure) || errors.Is(err, ErrUnreachable) {
+		t.Fatalf("send into a full queue: err = %v, want ErrBackpressure", err)
+	}
+	if got, want := mesh.BytesSent(), int64(sent*wire.FrameSize(env)); got != want {
+		t.Errorf("BytesSent = %d after %d accepted sends, want %d", got, sent, want)
+	}
+	unpark()
+	waitFor(t, func() bool { return a.Send("b", env) == nil })
+}
+
 func listenAddr(impl, label string) string {
 	if impl == "tcp" {
 		return "127.0.0.1:0"
