@@ -100,7 +100,7 @@ var experiments = []benchExperiment{
 			return r, nil
 		}},
 	{flag: "match",
-		help: "run the single-matcher match-path benchmark (covering + parallel shards across all index kinds) on the real matching stage",
+		help: "run the single-matcher match-path benchmark (covering × match workers 1..NumCPU across all index kinds) on the real matching stage",
 		run: func(a benchArgs) (any, error) {
 			r, err := experiment.Match(a.matchDur)
 			if err != nil {

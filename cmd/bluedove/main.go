@@ -68,7 +68,7 @@ func main() {
 		indexKind = flag.String("index", "bucket", "matcher: per-dimension index kind: scan|bucket|intervaltree")
 		buckets   = flag.Int("index-buckets", 0, "matcher: bucket count for -index bucket (0 = default)")
 		covering  = flag.Bool("covering", false, "matcher: enable subscription covering/aggregation")
-		shards    = flag.Int("match-shards", 1, "matcher: per-dimension index shards matched in parallel (e.g. NumCPU)")
+		shards    = flag.Int("match-shards", 1, "matcher: workers one forwarded batch's stab+verify is split across; each dimension keeps one index (e.g. NumCPU)")
 		elasticOn = flag.Bool("elastic", false, "dispatcher: run the elasticity controller in advisory mode over matcher load reports (decisions logged and exported as elastic.* telemetry)")
 		elasticIv = flag.Duration("elastic-interval", 2*time.Second, "dispatcher: elasticity controller scrape interval with -elastic")
 		dispAddr  = flag.String("dispatcher", "", "edge: dispatcher address the aggregated subscriber registers with (required for -role edge)")

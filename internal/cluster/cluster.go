@@ -53,9 +53,9 @@ type Options struct {
 	// Covering enables subscription covering/aggregation on every matcher
 	// (see matcher.Config.Covering).
 	Covering bool
-	// MatchShards partitions each matcher dimension set into this many
-	// hash shards matched in parallel (default 1; see
-	// matcher.Config.MatchShards).
+	// MatchShards is the number of workers one forwarded batch's
+	// stab+verify work is split across on each matcher; each dimension
+	// keeps one index (default 1; see matcher.Config.MatchShards).
 	MatchShards int
 	// TCP selects real TCP on loopback instead of the in-process mesh.
 	TCP bool

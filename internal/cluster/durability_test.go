@@ -142,7 +142,11 @@ func TestChaosRestartWithRecoveryZeroAckedLoss(t *testing.T) {
 
 	victim := c.MatcherIDs()[0]
 	orphan := victimPoint(t, c, victim)
-	pubCl, err := c.NewClient(1, nil)
+	// An acking publisher: a nil Publish means the dispatcher admitted and
+	// journaled the publication, not merely that it was queued in the mesh,
+	// so crashing the dispatcher below cannot drop an "acked" publication
+	// it never admitted.
+	pubCl, err := c.NewAckClient(1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,6 @@
 // Single-matcher match-path benchmark: batched match throughput of the real
-// matching stage across index kinds, shard counts and covering, outside any
-// cluster.
+// matching stage across index kinds, match-worker counts and covering,
+// outside any cluster.
 package experiment
 
 import (
@@ -12,8 +12,9 @@ import (
 	"bluedove/internal/matcher"
 )
 
-// MatchCell is one grid cell: an index kind × shard count × workload
-// measured on the real matching stage.
+// MatchCell is one grid cell: an index kind × match-worker count ×
+// workload measured on the real matching stage. Shards is the
+// matcher.Config.MatchShards value: the workers one batch is split across.
 type MatchCell struct {
 	Kind     string `json:"kind"`
 	Shards   int    `json:"shards"`
@@ -36,17 +37,13 @@ type MatchResult struct {
 }
 
 // Match measures batched single-matcher match throughput across
-// scan/bucket/intervaltree × shards ∈ {1, NumCPU}, on a uniform workload
+// scan/bucket/intervaltree × match workers ∈ 1..NumCPU, on a uniform workload
 // (covering off) and on the templated workload with covering on, spending
 // at least cellDuration on each cell.
 func Match(cellDuration time.Duration) (*MatchResult, error) {
 	r := &MatchResult{Subs: 10000, Templates: 500, Dims: 4, PredLen: 250, Batch: 64, CellDuration: cellDuration}
-	shardList := []int{1}
-	if n := runtime.NumCPU(); n > 1 {
-		shardList = append(shardList, n)
-	}
 	for _, kind := range []index.Kind{index.KindScan, index.KindBucket, index.KindIntervalTree} {
-		for _, shards := range shardList {
+		for shards := 1; shards <= runtime.NumCPU(); shards++ {
 			for _, cov := range []bool{false, true} {
 				o := matcher.MatchBenchOpts{
 					Kind: kind, Shards: shards, Covering: cov,

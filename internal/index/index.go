@@ -17,8 +17,11 @@
 //   - IntervalTree: a centered interval tree rebuilt lazily after batches of
 //     updates.
 //
-// Indexes are NOT safe for concurrent use; a matcher serializes access to
-// each per-dimension set through its SEDA stage.
+// Concurrency contract: reads (Stab, Overlapping, All, Len, Contains and
+// hence Match) never modify an index and may run concurrently with each
+// other; Add and Remove need exclusive access. A matcher guards each
+// per-dimension set with a sync.RWMutex: mutations take the write lock, and
+// the match workers splitting a batch stab the one index under read locks.
 package index
 
 import (

@@ -1,8 +1,10 @@
 package index
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
+	"sync"
 	"testing"
 
 	"bluedove/internal/core"
@@ -301,5 +303,86 @@ func TestIndexCostSanity(t *testing.T) {
 	}
 	if totTree*2 > totScan {
 		t.Errorf("tree scanned %d, scan %d: expected <50%%", totTree, totScan)
+	}
+}
+
+// TestConcurrentReads pins the package's concurrency contract: once
+// mutations stop, any number of goroutines may call Match (and the other
+// read methods) on one index at once and each gets the brute-force Scan
+// answer. Run under -race, a read that mutates shared state fails here.
+func TestConcurrentReads(t *testing.T) {
+	for _, tc := range []struct {
+		kind Kind
+		cov  bool
+	}{
+		{KindScan, false}, {KindScan, true},
+		{KindBucket, false}, {KindBucket, true},
+		{KindIntervalTree, false}, {KindIntervalTree, true},
+	} {
+		t.Run(fmt.Sprintf("%s/covering=%v", tc.kind, tc.cov), func(t *testing.T) {
+			idx := New(tc.kind, testSpace, 0)
+			if tc.cov {
+				idx = NewCovering(idx)
+			}
+			ref := NewScan(0)
+			rng := rand.New(rand.NewSource(11))
+			add := func(s *core.Subscription) { idx.Add(s); ref.Add(s) }
+			for i := 1; i <= 400; i++ {
+				s := randSub(rng, core.SubscriptionID(i), 300)
+				add(s)
+				if i%5 == 0 { // a rider strictly inside s, for covering
+					p := make([]core.Range, len(s.Predicates))
+					for d, r := range s.Predicates {
+						w := (r.High - r.Low) / 4
+						p[d] = core.Range{Low: r.Low + w, High: r.High - w}
+					}
+					rider := core.NewSubscription(core.SubscriberID(10000+i), p)
+					rider.ID = core.SubscriptionID(10000 + i)
+					add(rider)
+				}
+			}
+			// Leave tombstones and pending adds behind a built interval tree.
+			for i := 3; i <= 400; i += 7 {
+				idx.Remove(core.SubscriptionID(i))
+				ref.Remove(core.SubscriptionID(i))
+			}
+			msgs := make([]*core.Message, 200)
+			want := make([][]core.SubscriptionID, len(msgs))
+			for i := range msgs {
+				msgs[i] = core.NewMessage([]float64{rng.Float64() * 1000, rng.Float64() * 1000, rng.Float64() * 1000}, nil)
+				got, _, _ := Match(ref, msgs[i], nil, nil)
+				want[i] = ids(got)
+			}
+			var wg sync.WaitGroup
+			errs := make(chan string, 4)
+			for w := 0; w < 4; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					var dst, cands []*core.Subscription
+					for k := range msgs {
+						i := (k + w*len(msgs)/4) % len(msgs)
+						dst, cands, _ = Match(idx, msgs[i], dst[:0], cands)
+						if !sameIDs(ids(dst), want[i]) {
+							errs <- fmt.Sprintf("worker %d msg %d: Match = %v, want %v", w, i, ids(dst), want[i])
+							return
+						}
+					}
+					if idx.Len() != ref.Len() || len(idx.All(nil)) != ref.Len() || !idx.Contains(1) {
+						errs <- fmt.Sprintf("worker %d: Len/All/Contains disagree with the reference", w)
+						return
+					}
+					r := core.Range{Low: 100, High: 400}
+					if !sameIDs(ids(idx.Overlapping(r, nil)), ids(ref.Overlapping(r, nil))) {
+						errs <- fmt.Sprintf("worker %d: Overlapping disagrees with the reference", w)
+					}
+				}(w)
+			}
+			wg.Wait()
+			close(errs)
+			for e := range errs {
+				t.Error(e)
+			}
+		})
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"sync"
 
 	"bluedove/internal/core"
-	"bluedove/internal/index"
 	"bluedove/internal/wire"
 )
 
@@ -28,13 +27,13 @@ type addrChain struct{ head, tail int }
 // matchScratch holds the per-call working state of the matching hot path.
 // Pooled so steady-state matching allocates nothing: the Match destination
 // slice, the stabbing candidate buffer, the per-subscriber grouping map, the
-// delivery list (with SubIDs backing arrays), the per-shard parallel jobs and
+// delivery list (with SubIDs backing arrays), the per-chunk match jobs and
 // the batch assembly buffers are all reused.
 type matchScratch struct {
 	dst       []*core.Subscription
 	cands     []*core.Subscription // stabbing candidate buffer (index.Match)
 	live      []*core.Message      // batch minus TTL-shed messages
-	jobs      []shardJob           // per-shard parallel work, one entry per shard
+	jobs      []matchJob           // per-chunk match work, one entry per worker
 	wg        sync.WaitGroup
 	perSub    map[core.SubscriberID]int // subscriber → index into dels, per message
 	dels      []delEntry
@@ -161,9 +160,9 @@ func (m *Matcher) enqueueBatch(b *wire.ForwardBatchBody, from core.NodeID) {
 }
 
 // matchBatch matches a batch of forwarded messages against the dimension's
-// set under one index lock acquisition, coalesces the resulting deliveries
-// per destination address into DeliverBatch frames, and acknowledges the
-// whole batch with one ForwardAckBatch.
+// set, split across up to Config.MatchShards workers, coalesces the
+// resulting deliveries per destination address into DeliverBatch frames,
+// and acknowledges the whole batch with one ForwardAckBatch.
 func (m *Matcher) matchBatch(ds *dimSet, dim int, it forwardItem) {
 	sc := getScratch()
 	var tnow int64
@@ -194,70 +193,45 @@ func (m *Matcher) matchBatch(ds *dimSet, dim int, it forwardItem) {
 		}
 		sc.live = append(sc.live, msg)
 	}
-	scanned := 0
-	if m.pool == nil || len(ds.shards) == 1 {
-		// Single-shard inline path: one read-lock acquisition for the batch.
-		sh := ds.shards[0]
-		sh.mu.RLock()
-		for _, msg := range sc.live {
-			var n int
-			sc.dst, sc.cands, n = index.Match(sh.idx, msg, sc.dst[:0], sc.cands)
-			scanned += n
-			for _, s := range sc.dst {
-				i, ok := sc.perSub[s.Subscriber]
-				if !ok {
-					i = sc.addDelivery(sh.addrs[s.ID], s.Subscriber, msg)
-				}
-				sc.dels[i].body.SubIDs = append(sc.dels[i].body.SubIDs, s.ID)
-			}
-			clear(sc.perSub) // per-subscriber grouping is per message
-		}
-		sh.mu.RUnlock()
-	} else {
-		// Parallel path: fan the batch's stab+verify work across the shards
-		// on the matcher's worker pool (the stage goroutine runs one shard's
-		// job inline so it always contributes a core), then merge the
-		// msg-ordered per-shard hit lists with a cursor sweep so delivery
-		// coalescing sees the exact same (message, sub) stream as the inline
-		// path. Jobs live in the pooled scratch: steady state allocates
-		// nothing.
-		for len(sc.jobs) < len(ds.shards) {
-			sc.jobs = append(sc.jobs, shardJob{})
-		}
-		jobs := sc.jobs[:len(ds.shards)]
-		sc.wg.Add(len(jobs))
-		for i := range jobs {
-			j := &jobs[i]
-			j.shard = ds.shards[i]
-			j.msgs = sc.live
-			j.wg = &sc.wg
-		}
-		for i := 1; i < len(jobs); i++ {
-			m.pool.submit(&jobs[i])
-		}
+	// Split the live messages into contiguous chunks, one per match worker:
+	// chunk 0 runs on this stage goroutine (so the stage always contributes
+	// a core), the rest on the matcher's worker pool, all reading the
+	// dimension's one index. Walking the jobs in chunk order then yields the
+	// hits in message order, so delivery coalescing sees the same
+	// (message, sub) stream at every worker count.
+	n := min(m.cfg.MatchShards, len(sc.live))
+	for len(sc.jobs) < n {
+		sc.jobs = append(sc.jobs, matchJob{})
+	}
+	jobs := sc.jobs[:n]
+	sc.wg.Add(n)
+	for i := range jobs {
+		lo, hi := i*len(sc.live)/n, (i+1)*len(sc.live)/n
+		j := &jobs[i]
+		j.ds, j.msgs, j.base, j.wg = ds, sc.live[lo:hi], lo, &sc.wg
+	}
+	for i := 1; i < n; i++ {
+		m.pool.submit(&jobs[i])
+	}
+	if n > 0 {
 		jobs[0].run()
-		sc.wg.Wait()
-		for i := range jobs {
-			scanned += jobs[i].scanned
-			jobs[i].cur = 0
-		}
-		for mi := range sc.live {
-			for i := range jobs {
-				j := &jobs[i]
-				for j.cur < len(j.hits) && int(j.hits[j.cur].msg) == mi {
-					h := &j.hits[j.cur]
-					j.cur++
-					di, ok := sc.perSub[h.sub.Subscriber]
-					if !ok {
-						di = sc.addDelivery(h.addr, h.sub.Subscriber, sc.live[mi])
-					}
-					sc.dels[di].body.SubIDs = append(sc.dels[di].body.SubIDs, h.sub.ID)
-				}
+	}
+	sc.wg.Wait()
+	scanned, cur := 0, int32(-1)
+	for i := range jobs {
+		j := &jobs[i]
+		scanned += j.scanned
+		for k := range j.hits {
+			h := &j.hits[k]
+			if h.msg != cur {
+				clear(sc.perSub) // per-subscriber grouping is per message
+				cur = h.msg
 			}
-			clear(sc.perSub) // per-subscriber grouping is per message
-		}
-		for i := range jobs {
-			jobs[i].reset()
+			di, ok := sc.perSub[h.sub.Subscriber]
+			if !ok {
+				di = sc.addDelivery(h.addr, h.sub.Subscriber, sc.live[h.msg])
+			}
+			sc.dels[di].body.SubIDs = append(sc.dels[di].body.SubIDs, h.sub.ID)
 		}
 	}
 	m.Scanned.Add(int64(scanned))

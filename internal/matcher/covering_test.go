@@ -96,10 +96,10 @@ func TestCoveringJournalReplay(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	st(mkBox(1, 0, 100, 0, 100))  // cover
-	st(mkBox(2, 10, 50, 10, 90))  // rider
-	st(mkBox(3, 20, 40, 20, 80))  // rider (one-level: attaches to 1, not 2)
-	st(mkBox(4, 60, 90, 60, 90))  // rider
+	st(mkBox(1, 0, 100, 0, 100)) // cover
+	st(mkBox(2, 10, 50, 10, 90)) // rider
+	st(mkBox(3, 20, 40, 20, 80)) // rider (one-level: attaches to 1, not 2)
+	st(mkBox(4, 60, 90, 60, 90)) // rider
 	waitFor(t, func() bool { return m.SubsOnDim(0) == 4 })
 	if got := m.IndexedOnDim(0); got != 1 {
 		t.Fatalf("IndexedOnDim = %d, want 1", got)
@@ -124,9 +124,11 @@ func TestCoveringJournalReplay(t *testing.T) {
 }
 
 // TestMatchCorrectnessAllConfigs runs the same store-forward-deliver
-// workload through every index kind × covering × shard-count combination
+// workload through every index kind × covering × match-worker combination
 // and checks the delivered (subscriber, message, subscription) set against
-// the brute-force oracle.
+// the brute-force oracle. Splitting a batch across workers must not change
+// what the index holds or what a message costs: the covering collapse
+// (IndexedOnDim) and the scan count at 3 workers must equal those at 1.
 func TestMatchCorrectnessAllConfigs(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	var subs []*core.Subscription
@@ -140,6 +142,13 @@ func TestMatchCorrectnessAllConfigs(t *testing.T) {
 				p[0].Low+1, p[0].High-1, p[1].Low+1, p[1].High-1)
 		}
 		subs = append(subs, s)
+	}
+	// Riders strictly inside the first ten cuboids, so covering collapses
+	// them under their covers.
+	for i := 0; i < 10; i++ {
+		p := subs[i].Predicates
+		subs = append(subs, mkBox(core.SubscriptionID(1001+i),
+			p[0].Low+0.5, p[0].High-0.5, p[1].Low+0.5, p[1].High-0.5))
 	}
 	var msgs []*core.Message
 	for i := 0; i < 40; i++ {
@@ -160,8 +169,10 @@ func TestMatchCorrectnessAllConfigs(t *testing.T) {
 		}
 	}
 
+	type cost struct{ indexed, scanned int64 }
 	for _, kind := range []index.Kind{index.KindScan, index.KindBucket, index.KindIntervalTree} {
 		for _, cov := range []bool{false, true} {
+			var single cost // measured at 1 worker, compared at 3
 			for _, shards := range []int{1, 3} {
 				name := fmt.Sprintf("%s/covering=%v/shards=%d", kind, cov, shards)
 				t.Run(name, func(t *testing.T) {
@@ -209,16 +220,26 @@ func TestMatchCorrectnessAllConfigs(t *testing.T) {
 					if int64(len(want)) != h.m.Matched.Value() {
 						t.Fatalf("Matched=%d, want %d", h.m.Matched.Value(), len(want))
 					}
+					c := cost{int64(h.m.IndexedOnDim(0)), h.m.Scanned.Value()}
+					if cov && c.indexed > int64(len(subs))-10 {
+						t.Fatalf("IndexedOnDim=%d of %d subs: riders did not collapse", c.indexed, len(subs))
+					}
+					if shards == 1 {
+						single = c
+					} else if single != (cost{}) && c != single { // 1-worker run not filtered out
+						t.Fatalf("indexed/scanned = %d/%d at %d workers, %d/%d at 1",
+							c.indexed, c.scanned, shards, single.indexed, single.scanned)
+					}
 				})
 			}
 		}
 	}
 }
 
-// TestParallelMatchStress hammers the sharded match path with concurrent
-// subscription churn (Add/Remove through the shard write locks) while
-// forwarded batches fan stab+verify work across the worker pool — the
-// mutation-vs-read concurrency contract under -race.
+// TestParallelMatchStress hammers the parallel match path with concurrent
+// subscription churn (Add/Remove through the dimension write lock) while
+// forwarded batches are split across the worker pool — the mutation-vs-read
+// concurrency contract under -race.
 func TestParallelMatchStress(t *testing.T) {
 	h := newHarnessMut(t, func(c *Config) {
 		c.Covering = true
@@ -268,8 +289,8 @@ func TestParallelMatchStress(t *testing.T) {
 }
 
 // TestMatchBatchZeroAlloc pins the steady-state batched match path at zero
-// allocations per message, on both the inline single-shard layout and the
-// parallel multi-shard layout.
+// allocations per message, with the batch matched on the stage goroutine
+// alone and split across four workers.
 func TestMatchBatchZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; alloc pin runs without -race")
@@ -302,7 +323,7 @@ func TestMatchBatchZeroAlloc(t *testing.T) {
 			ds := m.dims[0]
 			run := func() { m.matchBatch(ds, 0, forwardItem{msgs: batch}) }
 			for i := 0; i < 5; i++ {
-				run() // warm the pooled scratch, shard jobs and encode buffers
+				run() // warm the pooled scratch, match jobs and encode buffers
 			}
 			allocs := testing.AllocsPerRun(50, run)
 			perMsg := allocs / float64(len(batch))

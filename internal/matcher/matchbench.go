@@ -31,7 +31,8 @@ type MatchBenchOpts struct {
 	Kind     index.Kind
 	Buckets  int
 	Covering bool
-	Shards   int
+	// Shards is the match-worker count (Config.MatchShards).
+	Shards int
 
 	Dims    int
 	Extent  float64
@@ -98,7 +99,7 @@ type MatchBenchResult struct {
 
 // RunMatchBench measures steady-state batched match throughput of one
 // matcher dimension stage, driving the same matchBatch path the SEDA stage
-// runs — TTL check, stab+verify across the configured shards, delivery
+// runs — TTL check, stab+verify split across the configured workers, delivery
 // coalescing into DeliverBatch frames — against a discard transport.
 func RunMatchBench(o MatchBenchOpts) (*MatchBenchResult, error) {
 	o.defaults()

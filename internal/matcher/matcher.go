@@ -52,9 +52,11 @@ type Config struct {
 	// templated multi-tenant workloads to one indexed entry per predicate
 	// shape (see index.Covering).
 	Covering bool
-	// MatchShards partitions each dimension set into this many
-	// subscription-ID-hashed shards whose stab+verify work is matched in
-	// parallel on a shared worker pool (default 1 — the single-index layout;
+	// MatchShards is the number of workers one forwarded batch's
+	// stab+verify work is split across: the batch's messages are cut into
+	// contiguous chunks matched in parallel on a shared worker pool. Each
+	// dimension keeps one index, so covering collapses the same at every
+	// worker count (default 1 — the batch is matched on the stage goroutine;
 	// set runtime.GOMAXPROCS(0) to saturate the node from one stage).
 	MatchShards int
 	// WorkersPerDim sizes each dimension stage's worker pool (default 1 —
@@ -143,43 +145,37 @@ func (c *Config) defaults() error {
 	return nil
 }
 
-// dimSet is one per-dimension subscription set — Config.MatchShards
-// subscription-ID-hashed index shards plus the SEDA stage matching messages
-// forwarded along this dimension. The stage serializes nothing about reads:
-// a batch's stab+verify work fans out across the shards on the matcher's
-// worker pool, while mutations lock only the one shard that owns the
-// subscription.
+// dimSet is one per-dimension subscription set Si: its index, the delivery
+// addresses of the subscriptions it holds, and the SEDA stage matching
+// messages forwarded along this dimension.
+//
+// Concurrency contract: mutations (store, remove, prune) take mu's write
+// lock; matching takes only read locks, so the chunks of a batch split
+// across match workers stab the one index concurrently.
 type dimSet struct {
-	shards []*indexShard
-	stage  *sedaStage
+	mu    sync.RWMutex
+	idx   index.Index
+	addrs map[core.SubscriptionID]string
+	stage *sedaStage
 }
 
-// subsCount returns the number of stored subscriptions across all shards.
+// subsCount returns the number of stored subscriptions.
 func (ds *dimSet) subsCount() int {
-	n := 0
-	for _, sh := range ds.shards {
-		sh.mu.RLock()
-		n += sh.idx.Len()
-		sh.mu.RUnlock()
-	}
-	return n
+	ds.mu.RLock()
+	defer ds.mu.RUnlock()
+	return ds.idx.Len()
 }
 
-// indexedCount returns the number of entries in the stabbing indexes across
-// all shards — with covering enabled this is the cover count, and
-// subsCount()/indexedCount() is the covering collapse ratio.
+// indexedCount returns the number of entries in the stabbing index — with
+// covering enabled this is the cover count, and subsCount()/indexedCount()
+// is the covering collapse ratio.
 func (ds *dimSet) indexedCount() int {
-	n := 0
-	for _, sh := range ds.shards {
-		sh.mu.RLock()
-		if cov, ok := sh.idx.(*index.Covering); ok {
-			n += cov.IndexedLen()
-		} else {
-			n += sh.idx.Len()
-		}
-		sh.mu.RUnlock()
+	ds.mu.RLock()
+	defer ds.mu.RUnlock()
+	if cov, ok := ds.idx.(*index.Covering); ok {
+		return cov.IndexedLen()
 	}
-	return n
+	return ds.idx.Len()
 }
 
 // Matcher is a running matching server.
@@ -188,8 +184,8 @@ type Matcher struct {
 	gsp  *gossip.Gossiper
 	addr string
 	dims []*dimSet
-	// pool fans per-shard stab+verify work across workers (nil when
-	// MatchShards is 1 — the inline path).
+	// pool runs the chunks of a batch split across match workers (nil when
+	// MatchShards is 1: every batch is matched on its stage goroutine).
 	pool *matchPool
 
 	tableMu sync.Mutex
@@ -274,18 +270,11 @@ func New(cfg Config) (*Matcher, error) {
 	k := cfg.Space.K()
 	m.dims = make([]*dimSet, k)
 	for i := 0; i < k; i++ {
-		ds := &dimSet{shards: make([]*indexShard, cfg.MatchShards)}
-		for j := range ds.shards {
-			idx := index.NewSized(cfg.IndexKind, cfg.Space, i, cfg.IndexBuckets)
-			if cfg.Covering {
-				idx = index.NewCovering(idx)
-			}
-			ds.shards[j] = &indexShard{
-				idx:   idx,
-				addrs: make(map[core.SubscriptionID]string),
-			}
+		idx := index.NewSized(cfg.IndexKind, cfg.Space, i, cfg.IndexBuckets)
+		if cfg.Covering {
+			idx = index.NewCovering(idx)
 		}
-		m.dims[i] = ds
+		m.dims[i] = &dimSet{idx: idx, addrs: make(map[core.SubscriptionID]string)}
 	}
 	if cfg.MatchShards > 1 {
 		m.pool = newMatchPool(cfg.MatchShards, cfg.MatchShards*k)
@@ -473,28 +462,26 @@ func (m *Matcher) handle(env *wire.Envelope) *wire.Envelope {
 	}
 }
 
-// store installs one subscription copy, locking only the shard that owns it.
+// store installs one subscription copy on one dimension set.
 func (m *Matcher) store(dim int, s *core.Subscription, deliverAddr string) {
-	sh := m.dims[dim].shards[shardOf(s.ID, m.cfg.MatchShards)]
-	sh.mu.Lock()
-	sh.idx.Add(s)
-	sh.addrs[s.ID] = deliverAddr
-	sh.mu.Unlock()
+	ds := m.dims[dim]
+	ds.mu.Lock()
+	ds.idx.Add(s)
+	ds.addrs[s.ID] = deliverAddr
+	ds.mu.Unlock()
 	m.mutations.Add(1)
 }
 
 // unsubscribe removes a subscription from every dimension set.
 func (m *Matcher) unsubscribe(id core.SubscriptionID) {
-	si := shardOf(id, m.cfg.MatchShards)
 	removed := false
 	for _, ds := range m.dims {
-		sh := ds.shards[si]
-		sh.mu.Lock()
-		if sh.idx.Remove(id) {
-			delete(sh.addrs, id)
+		ds.mu.Lock()
+		if ds.idx.Remove(id) {
+			delete(ds.addrs, id)
 			removed = true
 		}
-		sh.mu.Unlock()
+		ds.mu.Unlock()
 	}
 	if removed {
 		m.mutations.Add(1)
@@ -552,21 +539,17 @@ func (m *Matcher) matchOne(ds *dimSet, dim int, it forwardItem) {
 		return
 	}
 	sc := getScratch()
-	scanned := 0
-	for _, sh := range ds.shards {
-		sh.mu.RLock()
-		var n int
-		sc.dst, sc.cands, n = index.Match(sh.idx, msg, sc.dst[:0], sc.cands)
-		scanned += n
-		for _, s := range sc.dst {
-			i, ok := sc.perSub[s.Subscriber]
-			if !ok {
-				i = sc.addDelivery(sh.addrs[s.ID], s.Subscriber, msg)
-			}
-			sc.dels[i].body.SubIDs = append(sc.dels[i].body.SubIDs, s.ID)
+	var scanned int
+	ds.mu.RLock()
+	sc.dst, sc.cands, scanned = index.Match(ds.idx, msg, sc.dst[:0], sc.cands)
+	for _, s := range sc.dst {
+		i, ok := sc.perSub[s.Subscriber]
+		if !ok {
+			i = sc.addDelivery(ds.addrs[s.ID], s.Subscriber, msg)
 		}
-		sh.mu.RUnlock()
+		sc.dels[i].body.SubIDs = append(sc.dels[i].body.SubIDs, s.ID)
 	}
+	ds.mu.RUnlock()
 	m.Scanned.Add(int64(scanned))
 	m.Processed.Add(1)
 	if msg.Trace != nil {
@@ -655,17 +638,13 @@ func (m *Matcher) adopt(id uint64) bool {
 func (m *Matcher) handover(b *wire.HandoverBody) {
 	ds := m.dims[b.Dim]
 	r := core.Range{Low: b.Low, High: b.High}
-	var subs []*core.Subscription
-	var addrs []string
-	for _, sh := range ds.shards {
-		sh.mu.RLock()
-		start := len(subs)
-		subs = sh.idx.Overlapping(r, subs)
-		for _, s := range subs[start:] {
-			addrs = append(addrs, sh.addrs[s.ID])
-		}
-		sh.mu.RUnlock()
+	ds.mu.RLock()
+	subs := ds.idx.Overlapping(r, nil)
+	addrs := make([]string, len(subs))
+	for i, s := range subs {
+		addrs[i] = ds.addrs[s.ID]
 	}
+	ds.mu.RUnlock()
 	tid := b.TransferID
 	if tid == 0 {
 		tid = wire.TransferRangeID(m.cfg.ID, 0, b.Dim, b.Low, b.High)
@@ -686,17 +665,16 @@ func (m *Matcher) SplitPoint(dim int, r core.Range) float64 {
 		return r.Low + (r.High-r.Low)/2
 	}
 	var centers []float64
-	for _, sh := range m.dims[dim].shards {
-		sh.mu.RLock()
-		for _, s := range sh.idx.Overlapping(r, nil) {
-			p := s.Predicates[dim]
-			c := p.Low + (p.High-p.Low)/2
-			if c > r.Low && c < r.High {
-				centers = append(centers, c)
-			}
+	ds := m.dims[dim]
+	ds.mu.RLock()
+	for _, s := range ds.idx.Overlapping(r, nil) {
+		p := s.Predicates[dim]
+		c := p.Low + (p.High-p.Low)/2
+		if c > r.Low && c < r.High {
+			centers = append(centers, c)
 		}
-		sh.mu.RUnlock()
 	}
+	ds.mu.RUnlock()
 	mid := r.Low + (r.High-r.Low)/2
 	if len(centers) < 2 {
 		return mid
@@ -748,32 +726,22 @@ func (m *Matcher) LoadSnapshot() []forward.DimLoad {
 // match against the stored set, so the first reports carry realistic costs.
 func (m *Matcher) seedStage(dim int) {
 	ds := m.dims[dim]
-	var probe *core.Subscription
-	for _, sh := range ds.shards {
-		sh.mu.RLock()
-		all := sh.idx.All(nil)
-		if len(all) > 0 {
-			probe = all[0]
-		}
-		sh.mu.RUnlock()
-		if probe != nil {
-			break
-		}
-	}
-	if probe == nil {
+	ds.mu.RLock()
+	all := ds.idx.All(nil)
+	ds.mu.RUnlock()
+	if len(all) == 0 {
 		return
 	}
+	probe := all[0]
 	attrs := make([]float64, m.cfg.Space.K())
 	for i, p := range probe.Predicates {
 		attrs[i] = (p.Low + p.High) / 2
 	}
 	msg := core.NewMessage(attrs, nil)
 	start := time.Now()
-	for _, sh := range ds.shards {
-		sh.mu.RLock()
-		_, _, _ = index.Match(sh.idx, msg, nil, nil)
-		sh.mu.RUnlock()
-	}
+	ds.mu.RLock()
+	_, _, _ = index.Match(ds.idx, msg, nil, nil)
+	ds.mu.RUnlock()
 	ns := float64(time.Since(start))
 	if ns < 1 {
 		ns = 1
@@ -910,17 +878,15 @@ func (m *Matcher) pruneTo(t *partition.Table) {
 			}
 			return false
 		}
-		for _, sh := range ds.shards {
-			sh.mu.Lock()
-			for _, s := range sh.idx.All(nil) {
-				if !overlapsAny(s.Predicates[dim]) {
-					sh.idx.Remove(s.ID)
-					delete(sh.addrs, s.ID)
-					m.mutations.Add(1)
-				}
+		ds.mu.Lock()
+		for _, s := range ds.idx.All(nil) {
+			if !overlapsAny(s.Predicates[dim]) {
+				ds.idx.Remove(s.ID)
+				delete(ds.addrs, s.ID)
+				m.mutations.Add(1)
 			}
-			sh.mu.Unlock()
 		}
+		ds.mu.Unlock()
 	}
 }
 

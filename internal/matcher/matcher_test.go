@@ -25,7 +25,7 @@ type harness struct {
 func newHarness(t *testing.T) *harness { return newHarnessMut(t, nil) }
 
 // newHarnessMut builds the harness with a config hook for tests exercising
-// non-default match-path layouts (covering, shards, index kinds).
+// non-default match-path layouts (covering, match workers, index kinds).
 func newHarnessMut(t *testing.T, mut func(*Config)) *harness {
 	t.Helper()
 	h := &harness{mesh: transport.NewMesh(0)}

@@ -7,87 +7,56 @@ import (
 	"bluedove/internal/index"
 )
 
-// indexShard is one partition of a dimension's subscription set: its slice
-// of the per-dimension index plus the delivery addresses of the
-// subscriptions it holds. Subscriptions are assigned to shards by ID hash,
-// so every mutation and every per-shard read touches exactly one shard lock.
-//
-// Concurrency contract: index *mutations* (Add/Remove) take the shard's
-// write lock and arrive from the serialized transport handler paths; the
-// match path takes only read locks, so with S shards a batch's stab+verify
-// work fans out across S read-side workers without contending the mutation
-// path.
-type indexShard struct {
-	mu    sync.RWMutex
-	idx   index.Index
-	addrs map[core.SubscriptionID]string
-}
-
-// shardOf maps a subscription ID to its shard (splitmix64 finalizer — IDs
-// are sequential, so low bits alone would stripe poorly).
-func shardOf(id core.SubscriptionID, shards int) int {
-	if shards == 1 {
-		return 0
-	}
-	z := uint64(id)
-	z ^= z >> 30
-	z *= 0xbf58476d1ce4e5b9
-	z ^= z >> 27
-	z *= 0x94d049bb133111eb
-	z ^= z >> 31
-	return int(z % uint64(shards))
-}
-
-// shardHit is one (message, subscription) match produced by a shard worker,
-// carrying the delivery address read under the shard lock. Hits are emitted
-// in message order within each shard, so the merge pass is a cursor sweep.
-type shardHit struct {
+// matchHit is one (message, subscription) match produced by a match job,
+// carrying the delivery address read under the dimension lock.
+type matchHit struct {
 	msg  int32 // index into the batch's live-message slice
 	sub  *core.Subscription
 	addr string
 }
 
-// shardJob is one shard's stab+verify work over a batch of messages. Jobs
-// live in the pooled match scratch and are reused, so steady-state parallel
-// matching allocates nothing: the hit list, the Match destination and the
-// stabbing candidate buffer all retain their capacity.
-type shardJob struct {
-	shard   *indexShard
+// matchJob is the stab+verify work for one contiguous chunk of a batch's
+// messages against the dimension's single index. Jobs live in the pooled
+// match scratch and are reused, so steady-state matching allocates nothing:
+// the hit list, the Match destination and the stabbing candidate buffer all
+// retain their capacity. Hits come out in message order, so walking the
+// jobs in chunk order yields the batch's hits in message order.
+type matchJob struct {
+	ds      *dimSet
 	msgs    []*core.Message
-	hits    []shardHit
+	base    int // index of msgs[0] in the batch's live-message slice
+	hits    []matchHit
 	dst     []*core.Subscription
 	cands   []*core.Subscription
 	scanned int
-	cur     int // merge cursor into hits (owned by the merging stage)
 	wg      *sync.WaitGroup
 }
 
-// run performs the shard's share of the batch under one read-lock
-// acquisition.
-func (j *shardJob) run() {
-	sh := j.shard
+// run matches the job's chunk under one read-lock acquisition. Reads run
+// concurrently with the other chunks' jobs; index mutations wait for them.
+func (j *matchJob) run() {
+	ds := j.ds
 	j.hits = j.hits[:0]
 	j.scanned = 0
-	sh.mu.RLock()
-	for mi, msg := range j.msgs {
+	ds.mu.RLock()
+	for i, msg := range j.msgs {
 		var n int
-		j.dst, j.cands, n = index.Match(sh.idx, msg, j.dst[:0], j.cands[:0])
+		j.dst, j.cands, n = index.Match(ds.idx, msg, j.dst[:0], j.cands)
 		j.scanned += n
 		for _, s := range j.dst {
-			j.hits = append(j.hits, shardHit{msg: int32(mi), sub: s, addr: sh.addrs[s.ID]})
+			j.hits = append(j.hits, matchHit{msg: int32(j.base + i), sub: s, addr: ds.addrs[s.ID]})
 		}
 	}
-	sh.mu.RUnlock()
+	ds.mu.RUnlock()
 	j.wg.Done()
 }
 
 // reset drops the job's object references so pooling does not pin messages,
 // subscriptions or addresses past their useful life.
-func (j *shardJob) reset() {
-	j.shard = nil
+func (j *matchJob) reset() {
+	j.ds = nil
 	j.msgs = nil
 	j.wg = nil
-	j.cur = 0
 	clear(j.hits)
 	j.hits = j.hits[:0]
 	clear(j.dst)
@@ -96,18 +65,17 @@ func (j *shardJob) reset() {
 	j.cands = j.cands[:0]
 }
 
-// matchPool is the matcher's shared worker pool for parallel shard matching:
-// submitted jobs are pointers into pooled scratch, so dispatch is
-// allocation-free. One pool serves every dimension stage — the stages
-// serialize mutations, the pool spreads reads across cores.
+// matchPool is the matcher's shared worker pool for splitting a batch's
+// stab+verify work: submitted jobs are pointers into pooled scratch, so
+// dispatch is allocation-free. One pool serves every dimension stage.
 type matchPool struct {
-	jobs chan *shardJob
+	jobs chan *matchJob
 	wg   sync.WaitGroup
 }
 
 // newMatchPool starts a pool with the given number of workers.
 func newMatchPool(workers, queue int) *matchPool {
-	p := &matchPool{jobs: make(chan *shardJob, queue)}
+	p := &matchPool{jobs: make(chan *matchJob, queue)}
 	p.wg.Add(workers)
 	for i := 0; i < workers; i++ {
 		go p.work()
@@ -122,8 +90,8 @@ func (p *matchPool) work() {
 	}
 }
 
-// submit hands one shard job to the pool.
-func (p *matchPool) submit(j *shardJob) { p.jobs <- j }
+// submit hands one match job to the pool.
+func (p *matchPool) submit(j *matchJob) { p.jobs <- j }
 
 // stop drains and terminates the workers.
 func (p *matchPool) stop() {

@@ -29,10 +29,12 @@ type Config struct {
 	// IndexKind selects the per-dimension matcher index (default
 	// index.KindScan, the zero value).
 	IndexKind index.Kind
-	// MatchShards models the real matcher's per-core parallel match path
+	// MatchShards models the real matcher's batch-parallel match path
 	// (matcher.Config.MatchShards): each dimension stage's per-scan service
-	// time is divided by this shard count, since stab+verify work fans out
-	// across that many cores. Default 1 — the serial stage layout.
+	// time is divided by this worker count, since a batch's stab+verify
+	// work is split across that many cores over the one per-dimension
+	// index, whose scan cost does not depend on the worker count. Default
+	// 1 — the serial stage layout.
 	MatchShards int
 
 	// BaseMatchCost is the fixed per-message matching overhead

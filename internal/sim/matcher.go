@@ -153,8 +153,8 @@ func (m *simMatcher) serveOne(dim int) {
 	matchedSubs, cands, scanned := index.Match(m.indexes[dim], qm.m, nil, m.cands)
 	m.cands = cands
 	// Batching amortizes the fixed per-message overhead across the frame;
-	// parallel match shards divide the scan term across that many cores
-	// (the real stack's matcher.Config.MatchShards fan-out).
+	// parallel match workers divide the scan term across that many cores
+	// (the real stack's matcher.Config.MatchShards batch split).
 	service := int64(m.cl.cfg.BaseMatchCost)/int64(m.cl.cfg.BatchSize) +
 		int64(m.cl.cfg.PerScanCost)*int64(scanned)/int64(m.cl.cfg.MatchShards) +
 		int64(m.cl.cfg.PerDeliverCost)*int64(len(matchedSubs))
